@@ -82,7 +82,7 @@ func main() {
 	packets := flag.Int("packets", 100_000, "route mode: packets to drive")
 	workload := flag.String("workload", "uniform", "route mode: uniform | hotspot | allpairs")
 	churn := flag.Int("churn", 0, "apply this many live-topology churn ops (joins/leaves/link flaps/partitions) after stabilization, with traffic flying")
-	clusterMode := flag.Bool("cluster", false, "run the algorithm as a message-passing cluster: goroutine-per-node actors exchanging heartbeat frames over a faulty in-process transport")
+	clusterMode := flag.Bool("cluster", false, "run the algorithm as a message-passing cluster: node actors on lockstep shard workers exchanging heartbeat frames over a faulty in-process transport")
 	loss := flag.Float64("loss", 0.1, "cluster mode: heartbeat/data frame loss probability (dup/corrupt/delay ride along at fixed rates)")
 	serve := flag.Bool("serve", false, "deploy the cluster free-running over loopback UDP with a per-node admin API, until SIGINT/SIGTERM (or -serve-for)")
 	adminDir := flag.String("admin-dir", "", "serve mode: write the admin directory (one 'id addr' line per node) to this file at startup")

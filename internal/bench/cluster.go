@@ -13,7 +13,7 @@ import (
 )
 
 // E13Cluster is the message-passing cluster scale table: the full
-// serving stack — goroutine-per-node actors exchanging heartbeat
+// serving stack — node actors on lockstep shards exchanging heartbeat
 // frames over the in-process transport, convergence to the silent
 // tree, then a routed packet batch carried hop-by-hop as data frames
 // through the same transport. It reports convergence latency in ticks

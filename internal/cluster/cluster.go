@@ -1,7 +1,7 @@
 // Package cluster executes the repository's self-stabilizing algorithms
 // over real transports instead of the simulator: each node is an
-// independent goroutine-actor owning only its local register and a
-// cache of its neighbors' last heartbeat states, exchanged as
+// independent actor owning only its local register and a cache of its
+// neighbors' last heartbeat states, exchanged as
 // checksummed wire frames (internal/wire) over a pluggable Transport.
 //
 // This is the classic shared-memory→message-passing transform: a node
@@ -19,14 +19,15 @@
 // Two execution modes share the node logic:
 //
 //   - Lockstep (Tick/RunUntilQuiet, over a Stepper transport such as
-//     ChanTransport): nodes run their ticks concurrently between two
-//     barriers; frames travel at the barrier in deterministic order.
+//     ChanTransport): GOMAXPROCS shard workers run the nodes' ticks
+//     concurrently between two barriers; frames travel at the barrier
+//     in deterministic order.
 //     Same seed ⇒ identical execution trace, which is what the
 //     certification campaigns and the determinism test rely on.
 //   - Free-running (Serve, over an async transport such as
-//     UDPTransport): every node loops on its own timer and its
-//     endpoint's notify channel, with no global coordination — the
-//     deployment shape.
+//     UDPTransport): every node is a goroutine looping on its own timer
+//     and its endpoint's notify channel, with no global coordination —
+//     the deployment shape.
 //
 // A Gateway (gateway.go) rides on top, maintaining a
 // routing.LiveLabeler over the live registers and carrying routed
@@ -39,6 +40,7 @@ import (
 	"hash"
 	"hash/fnv"
 	"math/rand"
+	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -198,11 +200,9 @@ type Cluster struct {
 	// even if no δ evaluation changed anything.
 	stateDirty bool
 
-	// Lockstep coordination. tick/lastChangeTick/changedLast are atomic
-	// so the metrics scrape can read convergence gauges while a tick is
-	// in flight.
-	started        bool
-	doneCh         chan struct{}
+	// Lockstep clock. tick/lastChangeTick/changedLast are atomic so the
+	// metrics scrape can read convergence gauges while a tick is in
+	// flight.
 	tick           atomic.Uint64
 	lastChangeTick atomic.Uint64
 	changedLast    atomic.Int64
@@ -296,16 +296,12 @@ func New(g *graph.Graph, alg runtime.Algorithm, tr Transport, cfg Config) (*Clus
 	return c, nil
 }
 
-// newMember builds the actor for dense slot i with a cloned neighbor
-// row (the dense rows mutate in place under churn) and its lifecycle
-// channels.
+// newMember builds the node for dense slot i with a cloned neighbor
+// row (the dense rows mutate in place under churn).
 func (c *Cluster) newMember(id graph.NodeID, i int, ep Endpoint) *Node {
 	neighbors := append([]graph.NodeID(nil), c.d.NeighborIDs(i)...)
 	weights := append([]graph.Weight(nil), c.d.Weights(i)...)
 	nd := newNode(id, i, c.d.N(), neighbors, weights, ep, c.codec, c.alg)
-	nd.tickCh = make(chan uint64, 1)
-	nd.stop = make(chan struct{})
-	nd.stopped = make(chan struct{})
 	nd.noteAnn = c.noteAnnounce
 	nd.writeCount = &c.regWrites
 	nd.writeClock = &c.lastWriteNS
@@ -519,88 +515,29 @@ func (c *Cluster) TraceSum() uint64 {
 	return c.trace.Sum64()
 }
 
-// start launches the per-node actor goroutines (lockstep mode). Caller
-// holds memMu (read suffices: the lifecycle fields it writes are only
-// touched by the single coordinator goroutine).
-func (c *Cluster) start() {
-	if c.started {
-		return
-	}
-	c.started = true
-	c.doneCh = make(chan struct{}, 4*len(c.nodes)+64)
-	for _, nd := range c.nodes {
-		if nd == nil {
-			continue
-		}
-		c.spawnLockstep(nd)
-	}
-}
+// tickChunk is the number of consecutive dense slots a shard worker
+// claims per grab: large enough that the shared cursor is touched once
+// per tens of microseconds of node work, small enough that the last
+// chunks balance across workers.
+const tickChunk = 16
 
-// spawnLockstep runs one node's lockstep actor loop: park on the tick
-// channel, run the round, signal the barrier. A closed stop channel
-// retires the actor between rounds. Caller holds memMu.
-func (c *Cluster) spawnLockstep(nd *Node) {
-	if nd.running {
-		return
-	}
-	nd.running = true
-	go func() {
-		defer close(nd.stopped)
-		for {
-			select {
-			case <-nd.stop:
-				return
-			case t := <-nd.tickCh:
-				nd.tick(t, &c.cfg, c.gw)
-				c.doneCh <- struct{}{}
-			}
-		}
-	}()
-}
+// Stop is kept for callers that bracket a cluster's lifetime: lockstep
+// ticks run on short-lived shard workers and Serve retires its actors
+// when its context ends, so there is nothing left to stop. Ticking
+// after Stop is fine.
+func (c *Cluster) Stop() {}
 
-// Stop retires the actor goroutines (idempotent). The cluster can be
-// ticked again afterwards: the next Tick respawns the actors.
-func (c *Cluster) Stop() {
-	c.memMu.Lock()
-	defer c.memMu.Unlock()
-	if !c.started {
-		return
-	}
-	c.started = false
-	for _, nd := range c.nodes {
-		if nd == nil || !nd.running {
-			continue
-		}
-		close(nd.stop)
-		<-nd.stopped
-		nd.running = false
-		nd.stop = make(chan struct{})
-		nd.stopped = make(chan struct{})
-	}
-}
-
-// Tick runs one lockstep round: all node actors execute their tick
-// concurrently between two barriers, then the transport delivers what
-// they sent, in deterministic order. Requires a Stepper transport.
+// Tick runs one lockstep round: every live node executes its tick on a
+// shard worker, then the transport delivers what they sent, in
+// deterministic order. Requires a Stepper transport.
 func (c *Cluster) Tick() {
 	if c.step == nil {
 		panic("cluster: Tick over a transport with no lockstep Step; use Serve")
 	}
 	c.memMu.RLock()
 	defer c.memMu.RUnlock()
-	c.start()
 	tick := c.tick.Add(1)
-	live := 0
-	for _, nd := range c.nodes {
-		if nd == nil {
-			continue
-		}
-		nd.tickCh <- tick
-		live++
-	}
-	for i := 0; i < live; i++ {
-		<-c.doneCh
-	}
+	c.runShards(tick)
 	c.step.Step(tick)
 	changed := int64(0)
 	for _, nd := range c.nodes {
@@ -625,6 +562,44 @@ func (c *Cluster) Tick() {
 		c.gw.refresh()
 		c.stateDirty = false
 	}
+}
+
+// runShards executes one round's node ticks on up to GOMAXPROCS
+// workers — the calling goroutine plus short-lived helpers — each
+// claiming tickChunk-slot runs of c.nodes from a shared cursor until
+// every live node has ticked exactly once. Which worker runs which node
+// cannot change the round: a node reads only frames delivered at the
+// previous barrier (and the gateway labeling refreshed there) and
+// writes only its own register and its own send buffers, which the
+// transport merges in node order at the next Step.
+// Caller holds memMu.
+func (c *Cluster) runShards(tick uint64) {
+	nodes := c.nodes
+	var cursor atomic.Int64
+	work := func() {
+		for {
+			hi := int(cursor.Add(tickChunk))
+			lo := hi - tickChunk
+			if lo >= len(nodes) {
+				return
+			}
+			for _, nd := range nodes[lo:min(hi, len(nodes))] {
+				if nd != nil {
+					nd.tick(tick, &c.cfg, c.gw)
+				}
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(goruntime.GOMAXPROCS(0), (len(nodes)+tickChunk-1)/tickChunk) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
 
 // Ticks returns the lockstep tick count so far.
@@ -745,6 +720,8 @@ func (c *Cluster) spawnServe(nd *Node) {
 		return
 	}
 	nd.running = true
+	nd.stop = make(chan struct{})
+	nd.stopped = make(chan struct{})
 	c.serveWG.Add(1)
 	ctx := c.serveCtx
 	go func() {

@@ -109,8 +109,6 @@ func (c *Cluster) admit(id graph.NodeID, ep Endpoint) {
 	c.joins.Add(1)
 	if c.serving {
 		c.spawnServe(nd)
-	} else if c.started {
-		c.spawnLockstep(nd)
 	}
 }
 
@@ -134,7 +132,8 @@ func (c *Cluster) retire(id graph.NodeID, goodbye bool) error {
 	if c.d.N() == 1 {
 		return fmt.Errorf("cluster: refusing to retire the last node")
 	}
-	// Park the actor first; from here the coordinator owns its state.
+	// Park a Serve actor first; from here the coordinator owns its state
+	// (lockstep nodes only run inside Tick, which memMu excludes).
 	if nd.running {
 		close(nd.stop)
 		<-nd.stopped
@@ -274,8 +273,9 @@ func (c *Cluster) remapAllLocked(reset ...graph.NodeID) {
 // remapNodeLocked re-derives one actor's neighbor row from the shared
 // dense layout. In Serve mode the update is queued and the actor
 // applies it at the top of its next tick or absorb (it may be mid-tick
-// right now); parked actors (lockstep between ticks, or not yet
-// started) take it synchronously. Caller holds memMu write lock.
+// right now); lockstep nodes (which only run inside Tick, excluded by
+// memMu) and idle actors take it synchronously. Caller holds memMu
+// write lock.
 func (c *Cluster) remapNodeLocked(nd *Node, reset []graph.NodeID) {
 	i, ok := c.d.IndexOf(nd.id)
 	if !ok {

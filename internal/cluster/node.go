@@ -18,7 +18,8 @@ import (
 // register and a cache of its neighbors' last heartbeat states — the
 // message-passing realization of the paper's single-writer
 // multiple-reader register (Section II-A). All protocol state below is
-// touched only by the node's own goroutine during a tick; the mutex
+// touched only by the goroutine running the node's tick (a lockstep
+// shard worker or the node's Serve actor); the mutex
 // guards the published register (and the data queue's injection side)
 // for between-tick readers like the gateway.
 type Node struct {
@@ -31,10 +32,9 @@ type Node struct {
 	codec     wire.Codec
 	alg       runtime.Algorithm
 
-	// Lifecycle plumbing, owned by the cluster coordinator (under
-	// c.memMu): tickCh drives lockstep rounds, stop retires the actor in
-	// either mode, stopped is closed by the actor goroutine on exit.
-	tickCh  chan uint64
+	// Serve-mode lifecycle plumbing, owned by the cluster coordinator
+	// (under c.memMu) and made when the actor spawns: stop retires the
+	// actor, stopped is closed by the actor goroutine on exit.
 	stop    chan struct{}
 	stopped chan struct{}
 	running bool
@@ -45,7 +45,7 @@ type Node struct {
 	// pendingRemap carries a neighbor-row update queued by the
 	// coordinator while the actor may be mid-tick (Serve mode); the
 	// actor applies it at the top of its next tick or absorb. Guarded by
-	// mu. Lockstep remaps apply synchronously instead (actors are parked
+	// mu. Lockstep remaps apply synchronously instead (no node runs
 	// between ticks).
 	pendingRemap *nodeRemap
 	// advertPending arms the membership beacon: the node's next tick
@@ -108,7 +108,7 @@ type Node struct {
 	// local tick of its last activity, the report its frames carry, and
 	// whether it is a root with an active announcement. All are guarded
 	// by mu: out-of-band writes and the admin plane touch them from
-	// outside the actor goroutine.
+	// outside the node's tick.
 	qRx      []wire.QuietReport
 	qWrote   bool   // register written since the last detector round
 	qEpoch   uint64 // write epoch; joins to the max epoch heard
@@ -358,7 +358,7 @@ func (nd *Node) absorb(cfg *Config, gw *Gateway) {
 // view, forward parked packets, and heartbeat.
 func (nd *Node) tick(now uint64, cfg *Config, gw *Gateway) {
 	// localTick is written under the mutex: Gateway.Launch's Inject
-	// reads it from outside the actor goroutine to date parked packets.
+	// reads it from outside the node's tick to date parked packets.
 	// Queued neighbor-row updates apply here, before the drain, so
 	// frames from a just-added neighbor are not rejected as foreign.
 	nd.mu.Lock()
@@ -460,7 +460,7 @@ func (nd *Node) ingest(data []byte, now uint64, cfg *Config, gw *Gateway) {
 			}
 		}
 		// Under mu: the admin plane snapshots the cache from outside the
-		// actor goroutine.
+		// node's tick.
 		nd.mu.Lock()
 		nd.lastSeq[j] = f.Seq
 		nd.cache[j] = st

@@ -52,7 +52,7 @@ type Endpoint interface {
 // buffer Sends during a tick and deliver them at the barrier, in
 // deterministic order — the property the seeded-determinism and
 // certification campaigns build on. Step is called by the cluster
-// coordinator between ticks, with no node goroutine running.
+// coordinator between ticks, with no node tick running.
 type Stepper interface {
 	// Step delivers everything sent during the tick that just ended.
 	Step(tick uint64)
@@ -65,8 +65,8 @@ type Stepper interface {
 // during a tick are buffered in sender-owned queues and moved to the
 // recipients' inboxes at the barrier, senders visited in ascending node
 // order. It is lockstep-only (Notify returns nil) and entirely
-// lock-free during ticks: each queue has exactly one owner goroutine,
-// and the coordinator's Step runs while every node is parked.
+// lock-free during ticks: each queue is written only by its owner
+// node's tick, and the coordinator's Step runs after the barrier.
 type ChanTransport struct {
 	mu     sync.Mutex // guards Open bookkeeping only
 	eps    map[graph.NodeID]*chanEndpoint

@@ -184,6 +184,7 @@ func (lb *LiveLabeler) nodeAdded(id graph.NodeID) {
 	if lb.lab.idx != nil {
 		lb.lab.idx[id] = int32(slot)
 	}
+	lb.lab.indexIDs()
 	lb.parents[slot] = NoParent
 	lb.attach[slot] = -1
 	lb.kids[slot] = lb.kids[slot][:0]
@@ -205,6 +206,7 @@ func (lb *LiveLabeler) nodeRemoved(id graph.NodeID) {
 	}
 	lb.lab.ids[slot] = graph.NoNode
 	lb.lab.sorted = false
+	lb.lab.indexIDs()
 	lb.lab.nodeEpoch = lb.d.NodeEpoch()
 	// Detach from the parent, relabeling shifted siblings.
 	if pi := lb.attach[slot]; pi >= 0 {

@@ -31,8 +31,9 @@ type Labeling struct {
 
 	// sorted: ids is ascending with no holes, so indexOf binary-
 	// searches. After topology churn has recycled dense slots, the
-	// space is unsorted and indexOf goes through the lazily built idx
-	// map instead.
+	// space is unsorted and indexOf goes through the idx map instead,
+	// built eagerly wherever sorted turns false (indexIDs) so that
+	// lookups only read and concurrent routers may share a labeling.
 	sorted bool
 	idx    map[graph.NodeID]int32
 
@@ -50,27 +51,37 @@ type Labeling struct {
 // newLabeling returns an unlabeled labeling over the given identity
 // space (shared, read-only).
 func newLabeling(ids []graph.NodeID) *Labeling {
-	return &Labeling{
+	l := &Labeling{
 		ids:    ids,
 		crds:   make([]Coords, len(ids)),
 		root:   make([]graph.NodeID, len(ids)),
 		has:    make([]bool, len(ids)),
 		sorted: slices.IsSorted(ids),
 	}
+	l.indexIDs()
+	return l
 }
 
-// indexOf returns v's index in the labeling's identity space.
+// indexIDs builds the identity map an unsorted space looks up through,
+// unless the space is sorted or the map already exists (the churn
+// hooks then keep it current per node).
+func (l *Labeling) indexIDs() {
+	if l.sorted || l.idx != nil {
+		return
+	}
+	l.idx = make(map[graph.NodeID]int32, len(l.ids))
+	for i, id := range l.ids {
+		if id != graph.NoNode {
+			l.idx[id] = int32(i)
+		}
+	}
+}
+
+// indexOf returns v's index in the labeling's identity space. It only
+// reads, so any number of goroutines may call it concurrently.
 func (l *Labeling) indexOf(v graph.NodeID) (int, bool) {
 	if l.sorted {
 		return slices.BinarySearch(l.ids, v)
-	}
-	if l.idx == nil {
-		l.idx = make(map[graph.NodeID]int32, len(l.ids))
-		for i, id := range l.ids {
-			if id != graph.NoNode {
-				l.idx[id] = int32(i)
-			}
-		}
 	}
 	i, ok := l.idx[v]
 	return int(i), ok

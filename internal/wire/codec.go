@@ -31,9 +31,40 @@ type Codec interface {
 	// an all-zero mask — the quiet keep-alive.
 	AppendDelta(b *bits.Builder, base, cur runtime.State) error
 	// ApplyDelta parses one delta off the reader and applies it onto a
-	// copy of base. A changed field carrying its base value is rejected
-	// as non-canonical, keeping decode the exact inverse of encode.
+	// copy of base; a keep-alive, with nothing changed, returns base
+	// itself. A changed field carrying its base value is rejected as
+	// non-canonical, keeping decode the exact inverse of encode.
 	ApplyDelta(r *bits.Reader, base runtime.State) (runtime.State, error)
+}
+
+// decodeState and applyDelta call the two concrete codecs directly:
+// through the Codec interface the compiler must assume the reader
+// escapes, and every decoded frame would heap-allocate it. Any other
+// Codec implementation decodes from a heap copy of the reader.
+func decodeState(c Codec, r *bits.Reader) (runtime.State, error) {
+	switch c.(type) {
+	case Spanning:
+		return Spanning{}.DecodeState(r)
+	case Switching:
+		return Switching{}.DecodeState(r)
+	}
+	hr := *r
+	st, err := c.DecodeState(&hr)
+	*r = hr
+	return st, err
+}
+
+func applyDelta(c Codec, r *bits.Reader, base runtime.State) (runtime.State, error) {
+	switch c.(type) {
+	case Spanning:
+		return Spanning{}.ApplyDelta(r, base)
+	case Switching:
+		return Switching{}.ApplyDelta(r, base)
+	}
+	hr := *r
+	st, err := c.ApplyDelta(&hr, base)
+	*r = hr
+	return st, err
 }
 
 // The codec codes.
@@ -153,6 +184,9 @@ func (Spanning) ApplyDelta(r *bits.Reader, base runtime.State) (runtime.State, e
 		if mask[i], err = r.ReadBit(); err != nil {
 			return nil, err
 		}
+	}
+	if mask == [3]bool{} {
+		return base, nil // the keep-alive: no copy to box
 	}
 	if mask[0] {
 		v, err := readChanged(r, int64(s.Root))
@@ -310,6 +344,9 @@ func (Switching) ApplyDelta(r *bits.Reader, base runtime.State) (runtime.State, 
 		if mask[i], err = r.ReadBit(); err != nil {
 			return nil, err
 		}
+	}
+	if !flipD && !flipS && mask == [8]bool{} {
+		return base, nil // the keep-alive: no copy to box
 	}
 	old := [...]int64{int64(s.Root), int64(s.Parent), int64(s.D), int64(s.S),
 		int64(s.Sw), int64(s.SwTarget), int64(s.Pr), int64(s.Sub)}

@@ -115,6 +115,9 @@ func encodeCompact(f Frame, c Codec, b *bits.Builder, dst []byte) ([]byte, error
 	default:
 		return dst, fmt.Errorf("%w: %d", ErrKind, f.Kind)
 	}
+	if dst == nil {
+		dst = make([]byte, 0, compactHeaderLen+(b.Len()+7)/8+trailerLen)
+	}
 	base := len(dst)
 	dst = append(dst, magicCompact, byte(Version<<4)|byte(f.Kind), f.Alg)
 	dst = b.AppendBytes(dst)
@@ -181,7 +184,7 @@ func decodeCompact(c Codec, data []byte, scratch []uint64) (Frame, []uint64, err
 				return f, scratch, fmt.Errorf("%w: %v", ErrPayload, err)
 			}
 			if present {
-				st, err := c.DecodeState(r)
+				st, err := decodeState(c, r)
 				if err != nil {
 					return f, scratch, fmt.Errorf("%w: %v", ErrPayload, err)
 				}
@@ -224,7 +227,7 @@ func ApplyDelta(c Codec, f Frame, base runtime.State) (runtime.State, error) {
 	if err := r.Skip(f.deltaOff); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrPayload, err)
 	}
-	st, err := c.ApplyDelta(r, base)
+	st, err := applyDelta(c, r, base)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrPayload, err)
 	}

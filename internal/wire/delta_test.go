@@ -433,9 +433,9 @@ func TestEncodeAllocFree(t *testing.T) {
 	}
 }
 
-// TestDecodeBufAllocBound: a warm decoder's only steady allocations are
-// the reader and the decoded register's interface box — the payload
-// words no longer allocate per frame.
+// TestDecodeBufAllocBound: a warm decoder's only steady allocation is
+// the decoded register's interface box — the payload words and the bit
+// reader no longer allocate per frame.
 func TestDecodeBufAllocBound(t *testing.T) {
 	var bb bits.Builder
 	c := Codec(Switching{})
@@ -452,7 +452,77 @@ func TestDecodeBufAllocBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 2 {
-		t.Fatalf("warm decode allocates %.1f times per frame, want ≤2", allocs)
+	if allocs > 1 {
+		t.Fatalf("warm decode allocates %.1f times per frame, want ≤1", allocs)
+	}
+}
+
+// TestDeltaDecodeAllocs pins the receive path of the delta protocol
+// under both codecs: an anchor decodes with at most the register's
+// interface box, and a keep-alive delta (empty mask, no flips) decodes
+// and applies with no allocation at all — it hands back the anchor.
+func TestDeltaDecodeAllocs(t *testing.T) {
+	for _, c := range []Codec{Spanning{}, Switching{}} {
+		var bb bits.Builder
+		st := sampleStates(c, rand.New(rand.NewSource(4)))[0]
+		anchor, err := Encode(Frame{Kind: KindDelta, Alg: c.Code(), Src: 50000, Seq: 3,
+			BaseSeq: 3, State: st}, c, &bb, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keep, err := Encode(Frame{Kind: KindDelta, Alg: c.Code(), Src: 50000, Seq: 9,
+			BaseSeq: 3, Base: st, State: st}, c, &bb, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scratch := make([]uint64, 8)
+		allocs := testing.AllocsPerRun(200, func() {
+			var err error
+			if _, scratch, err = DecodeBuf(c, anchor, scratch); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 1 {
+			t.Errorf("%s: anchor decode allocates %.1f times per frame, want ≤1", c.Name(), allocs)
+		}
+		allocs = testing.AllocsPerRun(200, func() {
+			f, sc, err := DecodeBuf(c, keep, scratch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scratch = sc
+			got, err := ApplyDelta(c, f, st)
+			if err != nil || !got.Equal(st) {
+				t.Fatalf("keep-alive applied to %v, %v", got, err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: keep-alive decode allocates %.1f times per frame, want 0", c.Name(), allocs)
+		}
+	}
+}
+
+// TestEncodeSizesNilDst: encoding into a nil buffer allocates the frame
+// once at its final size instead of growing it byte by byte.
+func TestEncodeSizesNilDst(t *testing.T) {
+	var bb bits.Builder
+	c := Codec(Switching{})
+	st := switching.SelfRoot(50000)
+	for _, fr := range []Frame{
+		{Kind: KindHeartbeat, Alg: c.Code(), Src: 50000, Seq: 3, State: st},
+		{Kind: KindDelta, Alg: c.Code(), Src: 50000, Seq: 3, BaseSeq: 3, State: st},
+	} {
+		if _, err := Encode(fr, c, &bb, nil); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			data, err := Encode(fr, c, &bb, nil)
+			if err != nil || len(data) != cap(data) {
+				t.Fatalf("kind %d: len %d cap %d, %v", fr.Kind, len(data), cap(data), err)
+			}
+		})
+		if allocs != 1 {
+			t.Errorf("kind %d: nil-dst encode allocates %.1f times, want 1", fr.Kind, allocs)
+		}
 	}
 }

@@ -132,7 +132,8 @@ type Frame struct {
 // Encode appends the frame's wire form to dst and returns the grown
 // slice. The builder is scratch for the payload encoding: it is Reset
 // here and may be reused across calls, so a steady-state sender
-// allocates only what dst needs to grow.
+// allocates only what dst needs to grow; a nil dst is allocated once,
+// at the frame's final size.
 func Encode(f Frame, c Codec, b *bits.Builder, dst []byte) ([]byte, error) {
 	b.Reset()
 	var flags byte
@@ -155,6 +156,9 @@ func Encode(f Frame, c Codec, b *bits.Builder, dst []byte) ([]byte, error) {
 		return encodeCompact(f, c, b, dst)
 	default:
 		return dst, fmt.Errorf("%w: %d", ErrKind, f.Kind)
+	}
+	if dst == nil {
+		dst = make([]byte, 0, headerLen+(b.Len()+7)/8+trailerLen)
 	}
 	base := len(dst)
 	dst = append(dst, magic0, magic1, Version, byte(f.Kind), f.Alg, flags)
@@ -230,7 +234,7 @@ func DecodeBuf(c Codec, data []byte, scratch []uint64) (Frame, []uint64, error) 
 		}
 		f.Q = q
 		if flags&1 != 0 {
-			s, err := c.DecodeState(r)
+			s, err := decodeState(c, r)
 			if err != nil {
 				return f, scratch, fmt.Errorf("%w: %v", ErrPayload, err)
 			}
